@@ -48,7 +48,7 @@ func main() {
 	variants := flag.String("variants", "FastPass-static,FastPass-healing", "comma-separated variant list (scheme names plus FastPass-static/FastPass-healing)")
 	patternName := flag.String("pattern", "Uniform", "synthetic pattern")
 	size := flag.Int("size", 8, "mesh dimension")
-	rate := flag.Float64("rate", 0.05, "injection rate (flits/node/cycle)")
+	rate := flag.Float64("rate", 0.05, "injection rate (packets/node/cycle)")
 	runs := flag.Int("runs", 20, "Monte Carlo population: seeds 1..N per (variant, scale) cell")
 	seeds := flag.String("seeds", "", "explicit comma-separated seed list (overrides -runs)")
 	scales := flag.String("scales", "0,1", "comma-separated fault-plan intensity multipliers; 0 is the fault-free control")

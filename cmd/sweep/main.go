@@ -5,27 +5,25 @@
 // is bit-identical at any -j and any -shards (see DESIGN.md on the
 // determinism contract).
 //
-// With -faults the runs execute under deterministic fault injection;
-// with -fault-scales the command switches to the resilience experiment,
-// sweeping the plan's intensity instead of the injection rate and
-// reporting delivery/stranding/abort accounting per (scheme, scale).
+// With -faults the runs execute under deterministic fault injection.
+// The fault-intensity (resilience) experiment is a one-seed campaign:
+//
+//	campaign -seeds 1 -variants FastPass,EscapeVC -faults 'linkfail:rate=2e-3,dur=64' -scales 0,0.5,1 -journal resilience.jsonl
 //
 // Usage:
 //
 //	sweep -pattern Transpose -schemes FastPass,EscapeVC,SPIN -size 8
 //	sweep -schemes FastPass -rate-min 0.02 -rate-max 0.2 -j 4
-//	sweep -schemes FastPass,EscapeVC -faults 'linkfail:rate=2e-3,dur=64' -fault-scales 0,0.5,1
+//	sweep -schemes FastPass,EscapeVC -faults 'linkfail:rate=2e-3,dur=64'
 //	sweep -schemes FastPass -telemetry sweep.jsonl -telemetry-window 500
 //
 // With -telemetry every run's windowed metrics stream is buffered and
 // written to one JSONL file in (scheme, rate) order after the sweep —
 // byte-identical at any -j, like the CSV.
 //
-// If the invariant watchdog aborts any latency-sweep point, the CSV
+// If the invariant watchdog aborts any sweep point, the CSV
 // (with the aborted points as empty cells) is still written, every
-// structured report goes to stderr, and the exit code is 1. In
-// resilience mode aborts are the measurement — they land in the
-// aborted/deadlock CSV columns and do not change the exit code.
+// structured report goes to stderr, and the exit code is 1.
 package main
 
 import (
@@ -34,7 +32,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/parallel"
@@ -54,8 +51,7 @@ func main() {
 	rateStep := flag.Float64("rate-step", 0.02, "rate increment")
 	jobs := flag.Int("j", 0, "parallel workers (0 = one per core, 1 = serial)")
 	faultSpec := flag.String("faults", "", "fault-injection plan applied to every run")
-	faultScale := flag.Float64("faultscale", 1, "fault-plan rate multiplier (latency sweeps)")
-	faultScales := flag.String("fault-scales", "", "comma-separated intensity multipliers; switches to the resilience experiment (requires -faults)")
+	faultScale := flag.Float64("faultscale", 1, "fault-plan rate multiplier")
 	watchdog := flag.String("watchdog", "on", "invariant watchdogs: on, off, or tuning clauses")
 	shards := flag.Int("shards", 1, "spatial shards per simulation (bit-identical to 1; ignored by MinBD); composes with -j across runs")
 	telemetryPath := flag.String("telemetry", "", "write every run's windowed telemetry records to this JSONL file, in (scheme, rate) order regardless of -j")
@@ -65,21 +61,12 @@ func main() {
 	cfg, err := validateFlags(flagValues{
 		schemes: *schemes, pattern: *patternName, size: *size, seed: *seed,
 		rateMin: *rateMin, rateMax: *rateMax, rateStep: *rateStep, jobs: *jobs,
-		faults: *faultSpec, faultScale: *faultScale, faultScales: *faultScales,
+		faults: *faultSpec, faultScale: *faultScale,
 		watchdog: *watchdog, shards: *shards,
 		telemetryPath: *telemetryPath, telemetryWindow: *telemetryWindow,
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if len(cfg.scales) > 0 {
-		csv, reports := resilienceCSV(cfg)
-		fmt.Print(csv)
-		for _, r := range reports {
-			fmt.Fprintln(os.Stderr, r)
-		}
-		return
 	}
 
 	csv, reports := sweepCSV(cfg)
@@ -108,7 +95,6 @@ type flagValues struct {
 	jobs                       int
 	faults                     string
 	faultScale                 float64
-	faultScales                string
 	watchdog                   string
 	shards                     int
 	telemetryPath              string
@@ -117,8 +103,7 @@ type flagValues struct {
 
 // validateFlags turns raw flag values into a fully-validated
 // sweepConfig, or an error that names the offending flag and what to
-// do about it. Every cross-flag rule lives here: -fault-scales needs
-// -faults and excludes both -telemetry and MinBD; -shards must divide
+// do about it. Every cross-flag rule lives here: -shards must divide
 // sensibly into the mesh; -telemetry-window must be positive.
 func validateFlags(fv flagValues) (sweepConfig, error) {
 	cfg, err := buildConfig(fv.schemes, fv.pattern, fv.size, fv.seed, fv.rateMin, fv.rateMax, fv.rateStep, fv.jobs)
@@ -139,42 +124,10 @@ func validateFlags(fv flagValues) (sweepConfig, error) {
 	if fv.telemetryWindow <= 0 {
 		return sweepConfig{}, fmt.Errorf("-telemetry-window %d must be a positive cycle count", fv.telemetryWindow)
 	}
-	if fv.faultScales != "" {
-		if fv.faults == "" {
-			return sweepConfig{}, fmt.Errorf("-fault-scales sweeps a fault plan's intensity; pass the plan with -faults")
-		}
-		if fv.telemetryPath != "" {
-			return sweepConfig{}, fmt.Errorf("-telemetry does not apply to the resilience experiment; drop it or -fault-scales")
-		}
-		scales, err := parseScales(fv.faultScales)
-		if err != nil {
-			return sweepConfig{}, fmt.Errorf("-fault-scales: %v", err)
-		}
-		for _, s := range cfg.schemes {
-			if s == noc.MinBD {
-				return sweepConfig{}, fmt.Errorf("the resilience experiment does not support MinBD (no links, credits or NICs to degrade); drop it from -schemes")
-			}
-		}
-		cfg.scales = scales
-	}
 	if fv.telemetryPath != "" {
 		cfg.telemetry = newTelemetrySink(cfg, fv.telemetryWindow)
 	}
 	return cfg, nil
-}
-
-// parseScales parses the -fault-scales list (non-negative, 0 = the
-// fault-free control point).
-func parseScales(list string) ([]float64, error) {
-	var scales []float64
-	for _, raw := range strings.Split(list, ",") {
-		s, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
-		if err != nil || s < 0 {
-			return nil, fmt.Errorf("fault scale %q must be a non-negative number", raw)
-		}
-		scales = append(scales, s)
-	}
-	return scales, nil
 }
 
 // sweepConfig is a fully-validated sweep description: every field has
@@ -190,12 +143,10 @@ type sweepConfig struct {
 	// Warmup/Measure/Drain override the RunSynthetic defaults when
 	// non-zero (tests shrink them; the CLI keeps the paper windows).
 	warmup, measure, drain int
-	// faults/faultScale/watchdog ride into every run's Options; scales,
-	// when non-empty, selects the resilience experiment.
+	// faults/faultScale/watchdog ride into every run's Options.
 	faults     string
 	faultScale float64
 	watchdog   string
-	scales     []float64
 	// shards is the intra-sim spatial shard count each run steps with;
 	// bit-identical to 1 by contract, so it never perturbs the CSV.
 	shards int
@@ -344,34 +295,6 @@ func sweepCSV(cfg sweepConfig) (string, []string) {
 			}
 		}
 		b.WriteByte('\n')
-	}
-	return b.String(), reports
-}
-
-// resilienceCSV runs the fault-intensity sweep and renders one row per
-// (scheme, scale) with the full robustness accounting. Reports carry
-// the structured watchdog diagnostics of every aborted point.
-func resilienceCSV(cfg sweepConfig) (string, []string) {
-	pts := noc.RunResilience(noc.ResilienceConfig{
-		Base:    cfg.baseConfig(cfg.schemes[0]),
-		Scales:  cfg.scales,
-		Schemes: cfg.schemes,
-		Jobs:    cfg.jobs,
-	})
-	var b strings.Builder
-	var reports []string
-	b.WriteString("scheme,scale,created,delivered,stranded,corrupted_delivered,credit_leaks,link_fails,port_stalls,consumer_stalls,flits_corrupted,credits_lost,aborted,deadlock,abort_cycle\n")
-	for _, p := range pts {
-		abortCycle := ""
-		if p.Aborted {
-			abortCycle = fmt.Sprintf("%d", p.AbortCycle)
-			reports = append(reports, fmt.Sprintf("sweep: %v @ scale %g aborted at cycle %d:\n%s",
-				p.Scheme, p.Scale, p.AbortCycle, p.AbortReport))
-		}
-		fmt.Fprintf(&b, "%v,%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%t,%t,%s\n",
-			p.Scheme, p.Scale, p.Created, p.Delivered, p.Stranded, p.CorruptedDelivered,
-			p.CreditLeaks, p.Faults.LinkFails, p.Faults.PortStalls, p.Faults.ConsumerStalls,
-			p.Faults.FlitsCorrupted, p.Faults.CreditsLost, p.Aborted, p.DeadlockDetected, abortCycle)
 	}
 	return b.String(), reports
 }

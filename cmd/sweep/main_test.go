@@ -122,10 +122,6 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{name: "baseline ok", mod: func(*flagValues) {}},
 		{name: "faults plan ok", mod: func(fv *flagValues) { fv.faults = "linkfail:rate=1e-3,dur=32" }},
-		{name: "resilience ok", mod: func(fv *flagValues) {
-			fv.faults = "linkfail:rate=1e-3,dur=32"
-			fv.faultScales = "0,1,2"
-		}},
 		{name: "bad scheme", mod: func(fv *flagValues) { fv.schemes = "NoSuch" }, wantErr: "NoSuch"},
 		{name: "bad pattern", mod: func(fv *flagValues) { fv.pattern = "NoSuch" }, wantErr: "pattern"},
 		{name: "bad rate grid", mod: func(fv *flagValues) { fv.rateStep = -1 }, wantErr: "step"},
@@ -133,26 +129,11 @@ func TestValidateFlags(t *testing.T) {
 		{name: "bad watchdog", mod: func(fv *flagValues) { fv.watchdog = "stride=no" }, wantErr: "-watchdog"},
 		{name: "bad shards", mod: func(fv *flagValues) { fv.shards = -3 }, wantErr: "-shards"},
 		{name: "bad telemetry window", mod: func(fv *flagValues) { fv.telemetryWindow = 0 }, wantErr: "-telemetry-window"},
-		{name: "scales without plan", mod: func(fv *flagValues) { fv.faultScales = "0,1" }, wantErr: "-faults"},
-		{name: "negative scale", mod: func(fv *flagValues) {
-			fv.faults = "linkfail:rate=1e-3,dur=32"
-			fv.faultScales = "0,-1"
-		}, wantErr: "-fault-scales"},
-		{name: "telemetry with resilience", mod: func(fv *flagValues) {
-			fv.faults = "linkfail:rate=1e-3,dur=32"
-			fv.faultScales = "0,1"
-			fv.telemetryPath = "out.jsonl"
-		}, wantErr: "-telemetry"},
-		{name: "minbd resilience", mod: func(fv *flagValues) {
-			fv.schemes = "FastPass,MinBD"
-			fv.faults = "linkfail:rate=1e-3,dur=32"
-			fv.faultScales = "0,1"
-		}, wantErr: "MinBD"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fv := goodFlags()
 			tc.mod(&fv)
-			cfg, err := validateFlags(fv)
+			_, err := validateFlags(fv)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("error %v, want one mentioning %q", err, tc.wantErr)
@@ -161,9 +142,6 @@ func TestValidateFlags(t *testing.T) {
 			}
 			if err != nil {
 				t.Fatal(err)
-			}
-			if fv.faultScales != "" && len(cfg.scales) == 0 {
-				t.Error("resilience scales not carried into the config")
 			}
 		})
 	}
@@ -242,29 +220,5 @@ func TestSweepAbortStillWritesCSV(t *testing.T) {
 	}
 	if lines[1] != "0.050," {
 		t.Errorf("aborted point should be an empty cell, got %q", lines[1])
-	}
-}
-
-// TestResilienceCSVShape runs the resilience experiment end to end at
-// quick scale and sanity-checks the CSV accounting columns.
-func TestResilienceCSVShape(t *testing.T) {
-	cfg, err := buildConfig("FastPass,EscapeVC", "Uniform", 4, 7, 0.05, 0.05, 0.01, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.warmup, cfg.measure, cfg.drain = 300, 800, 400
-	cfg.faults = "linkfail:rate=0.002,dur=64;creditloss:rate=0.001"
-	cfg.watchdog = "on"
-	cfg.scales = []float64{0, 1}
-	csv, _ := resilienceCSV(cfg)
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("want header + 4 rows, got %d lines:\n%s", len(lines), csv)
-	}
-	if !strings.HasPrefix(lines[0], "scheme,scale,created,delivered,stranded") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "FastPass,0,") || !strings.HasPrefix(lines[3], "EscapeVC,0,") {
-		t.Errorf("rows not scheme-major:\n%s", csv)
 	}
 }

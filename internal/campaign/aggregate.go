@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // Curve is one aggregated (variant, scale) point of a degradation
@@ -38,22 +40,6 @@ type Curve struct {
 	// Self-healing accounting, summed over the population.
 	Heals     int64
 	HealFails int64
-}
-
-// percentile is the nearest-rank percentile of an ascending-sorted
-// slice (NaN when empty).
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // Aggregate folds per-cell records into one Curve per (variant, scale),
@@ -94,13 +80,13 @@ func Aggregate(c Config, recs []Record) ([]Curve, error) {
 			sort.Float64s(delivered)
 			sort.Float64s(tripCycles)
 			sort.Float64s(mttf)
-			cv.DeliveredP50 = percentile(delivered, 0.50)
+			cv.DeliveredP50 = stats.NearestRank(delivered, 0.50)
 			// SLA direction: the level all but the worst 1% (0.1%) meet.
-			cv.DeliveredP99 = percentile(delivered, 0.01)
-			cv.DeliveredP999 = percentile(delivered, 0.001)
+			cv.DeliveredP99 = stats.NearestRank(delivered, 0.01)
+			cv.DeliveredP999 = stats.NearestRank(delivered, 0.001)
 			cv.TripFrac = float64(cv.Trips) / float64(cv.Runs)
-			cv.TripCycleP50 = percentile(tripCycles, 0.50)
-			cv.MTTFP50 = percentile(mttf, 0.50)
+			cv.TripCycleP50 = stats.NearestRank(tripCycles, 0.50)
+			cv.MTTFP50 = stats.NearestRank(mttf, 0.50)
 			if cv.Trips > 0 {
 				cv.DeliveredAtTrip = atTripSum / float64(cv.Trips)
 			} else {

@@ -4,12 +4,14 @@
 // degradation curves — delivered-fraction percentiles, time-to-first-
 // watchdog-trip and MTTF-to-deadlock distributions — per variant.
 //
-// Where the resilience sweep (sim.RunResilience) measures one seed per
-// point, a campaign measures a population: the same plan replayed under
-// many seeds, so the output is a distribution, not an anecdote. The
-// grid includes FastPass twice — FastPass-static and FastPass-healing —
-// which is the experiment the self-healing lane re-derivation exists
-// for: same silicon failures, with and without online re-derivation.
+// A campaign measures a population: the same plan replayed under many
+// seeds, so the output is a distribution, not an anecdote. A one-seed
+// campaign over scheme variants is the plain resilience experiment:
+// its journal has one line per (scheme, scale) with delivery,
+// stranding, corruption and injector accounting. The grid includes
+// FastPass twice — FastPass-static and FastPass-healing — which is the
+// experiment the self-healing lane re-derivation exists for: same
+// silicon failures, with and without online re-derivation.
 //
 // Determinism contract: every cell is a pure function of (config,
 // variant, scale, seed). The grid is fixed by the config, results are
@@ -191,6 +193,15 @@ type Record struct {
 
 	Heals     int64 `json:"heals"`
 	HealFails int64 `json:"heal_fails"`
+
+	// Fault accounting: packets that arrived with a detected checksum
+	// mismatch, and the injector's event counters.
+	CorruptedDelivered int64 `json:"corrupted_delivered"`
+	LinkFails          int64 `json:"link_fails"`
+	PortStalls         int64 `json:"port_stalls"`
+	ConsumerStalls     int64 `json:"consumer_stalls"`
+	FlitsCorrupted     int64 `json:"flits_corrupted"`
+	CreditsLost        int64 `json:"credits_lost"`
 }
 
 // Key matches Point.Key for resume lookups.
@@ -226,6 +237,13 @@ func cell(c Config, p Point) Record {
 		CreditLeaks:       res.CreditLeaks,
 		Heals:             res.Heals,
 		HealFails:         res.HealFails,
+
+		CorruptedDelivered: res.CorruptedDelivered,
+		LinkFails:          res.Faults.LinkFails,
+		PortStalls:         res.Faults.PortStalls,
+		ConsumerStalls:     res.Faults.ConsumerStalls,
+		FlitsCorrupted:     res.Faults.FlitsCorrupted,
+		CreditsLost:        res.Faults.CreditsLost,
 	}
 	if res.Created > 0 {
 		rec.DeliveredFrac = float64(res.Delivered) / float64(res.Created)

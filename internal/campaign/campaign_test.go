@@ -118,21 +118,27 @@ func renderAll(t *testing.T, c Config, recs []Record) []byte {
 }
 
 // TestJobsEquivalence is the campaign determinism contract: the journal
-// and curve files are byte-identical at -j 1 and -j 4.
+// and curve files are byte-identical at -j 1 and -j 8, for the healing
+// campaign and for the all-category resilience campaign.
 func TestJobsEquivalence(t *testing.T) {
-	serialCfg := testConfig(1)
-	serial, err := Run(serialCfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallelCfg := testConfig(4)
-	par, err := Run(parallelCfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := renderAll(t, serialCfg, serial), renderAll(t, parallelCfg, par)
-	if !bytes.Equal(a, b) {
-		t.Errorf("-j 1 and -j 4 outputs differ\nj1:\n%s\nj4:\n%s", a, b)
+	for _, tc := range []struct {
+		name   string
+		config func(jobs int) Config
+	}{{"healing", testConfig}, {"resilience", resilienceConfig}} {
+		serialCfg := tc.config(1)
+		serial, err := Run(serialCfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallelCfg := tc.config(8)
+		par, err := Run(parallelCfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := renderAll(t, serialCfg, serial), renderAll(t, parallelCfg, par)
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: -j 1 and -j 8 outputs differ\nj1:\n%s\nj8:\n%s", tc.name, a, b)
+		}
 	}
 }
 

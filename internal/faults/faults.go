@@ -114,7 +114,7 @@ func (p Plan) Empty() bool {
 }
 
 // Scale returns a copy with every rate multiplied by f (clamped to 1).
-// Targeted events are not scaled. Resilience sweeps use it to walk a
+// Targeted events are not scaled. Campaigns use it to walk a
 // fault-intensity axis from a single base plan. Negative factors are a
 // driver bug — a rate can only be attenuated or amplified, never
 // inverted — and panic rather than silently producing a zero plan.
@@ -343,8 +343,8 @@ func (p *Plan) parseClause(clause string) error {
 	return nil
 }
 
-// Counters aggregates injected-fault activity for reports and the
-// resilience CSV.
+// Counters aggregates injected-fault activity for reports and campaign
+// records.
 type Counters struct {
 	LinkFails           int64 // link-failure onsets
 	PortStalls          int64 // input-port stall onsets

@@ -146,7 +146,7 @@ type Options struct {
 	// commands pre-validate with faults.ParsePlan.
 	Faults string
 	// FaultScale, when positive, multiplies every rate in the fault
-	// plan (resilience sweeps reuse one spec across intensities).
+	// plan (campaigns reuse one spec across intensities).
 	FaultScale float64
 
 	// Watchdog, when non-empty, is an invariant.ParseSpec value ("on",

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 )
 
@@ -71,26 +70,4 @@ func (h Histogram) String() string {
 		fmt.Fprintf(&b, "  [%6d,%6d] %8d %s\n", lo, hi, v, bar)
 	}
 	return b.String()
-}
-
-// Quantiles returns the given quantiles of the measured latencies by
-// nearest rank. A quantile outside (0, 1] — or any quantile of an empty
-// collector — is NaN rather than a silently clamped sample.
-func (c *Collector) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	if len(c.latencies) == 0 {
-		return out
-	}
-	s := append([]int64(nil), c.latencies...)
-	slices.Sort(s)
-	for i, q := range qs {
-		if math.IsNaN(q) || q <= 0 || q > 1 {
-			continue
-		}
-		out[i] = float64(s[int(math.Ceil(q*float64(len(s))))-1])
-	}
-	return out
 }

@@ -116,24 +116,30 @@ func (c *Collector) MeasuredCreated() int64 { return c.created }
 // NaN with no samples.
 func (c *Collector) MeanLatency() float64 { return mean(c.latencies) }
 
-// Percentile returns the p-quantile (0 < p <= 1) of measured latencies
-// by nearest-rank, or NaN with no samples or a p outside (0, 1] (a
-// bogus p used to clamp silently onto the min or max sample — an easy
-// way to plot garbage without noticing). Fig. 12 uses p = 0.99. The
-// sorted view is cached across calls and rebuilt only after new
-// ejections, so interleaving Percentile reads with OnEject stays
-// correct and repeated reads stay cheap.
+// Percentile returns the p-quantile of measured latencies by
+// NearestRank (NaN with no samples or a p outside (0, 1]). Fig. 12
+// uses p = 0.99. The sorted view is cached across calls and rebuilt
+// only after new ejections, so interleaving Percentile reads with
+// OnEject stays correct and repeated reads stay cheap.
 func (c *Collector) Percentile(p float64) float64 {
-	if len(c.latencies) == 0 || math.IsNaN(p) || p <= 0 || p > 1 {
-		return math.NaN()
-	}
 	if c.sortedStale || len(c.sorted) != len(c.latencies) {
 		c.sorted = append(c.sorted[:0], c.latencies...)
 		slices.Sort(c.sorted)
 		c.sortedStale = false
 	}
+	return NearestRank(c.sorted, p)
+}
+
+// NearestRank returns the p-quantile of an ascending-sorted slice by
+// nearest rank. It is NaN for an empty slice or a p outside (0, 1],
+// NaN included: a bogus p must not clamp silently onto the min or max
+// sample, an easy way to plot garbage without noticing.
+func NearestRank[T int64 | float64](sorted []T, p float64) float64 {
+	if len(sorted) == 0 || math.IsNaN(p) || p <= 0 || p > 1 {
+		return math.NaN()
+	}
 	// With p in (0, 1], ceil(p*n)-1 is always a valid index.
-	return float64(c.sorted[int(math.Ceil(p*float64(len(c.sorted))))-1])
+	return float64(sorted[int(math.Ceil(p*float64(len(sorted))))-1])
 }
 
 // Throughput is the accepted traffic in packets/node/cycle during the

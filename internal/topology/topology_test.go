@@ -277,7 +277,9 @@ func TestSegmentWalkPartitions(t *testing.T) {
 }
 
 // Property: random connected graphs always yield a valid Eulerian
-// holistic walk.
+// holistic walk, and cutting it with SegmentWalk gives the §III-F lane
+// partitions: link-disjoint contiguous segments that cover every
+// directed link and together visit every node.
 func TestHolisticWalkRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -314,6 +316,35 @@ func TestHolisticWalkRandomGraphs(t *testing.T) {
 			if g.Links()[walk[i]].Src != g.Links()[walk[i-1]].Dst {
 				t.Fatalf("trial %d: discontinuous walk", trial)
 			}
+		}
+		p := 1 + rng.Intn(4)
+		segs := SegmentWalk(walk, p)
+		if len(segs) != min(p, len(walk)) {
+			t.Fatalf("trial %d: %d segments for p=%d", trial, len(segs), p)
+		}
+		owner := make(map[int]int)
+		visited := make(map[int]bool)
+		for si, seg := range segs {
+			if len(seg) == 0 {
+				t.Fatalf("trial %d: segment %d is empty", trial, si)
+			}
+			for i, id := range seg {
+				if prev, dup := owner[id]; dup {
+					t.Fatalf("trial %d: link %d in segments %d and %d", trial, id, prev, si)
+				}
+				owner[id] = si
+				l := g.Links()[id]
+				if i > 0 && l.Src != g.Links()[seg[i-1]].Dst {
+					t.Fatalf("trial %d: segment %d breaks at step %d", trial, si, i)
+				}
+				visited[l.Src], visited[l.Dst] = true, true
+			}
+		}
+		if len(owner) != len(g.Links()) {
+			t.Fatalf("trial %d: segments cover %d of %d links", trial, len(owner), len(g.Links()))
+		}
+		if len(visited) != g.NumNodes() {
+			t.Fatalf("trial %d: segments visit %d of %d nodes", trial, len(visited), g.NumNodes())
 		}
 	}
 }

@@ -167,17 +167,6 @@ func ParseWatchdogSpec(spec string) (WatchdogOptions, bool, error) {
 	return invariant.ParseSpec(spec)
 }
 
-// ResilienceConfig sweeps a fault plan's intensity across schemes;
-// ResiliencePoint is one (scheme, scale) measurement.
-type (
-	ResilienceConfig = sim.ResilienceConfig
-	ResiliencePoint  = sim.ResiliencePoint
-)
-
-// RunResilience executes a fault-intensity sweep. Deterministic: the
-// same config yields bit-identical points at any Jobs value.
-func RunResilience(cfg ResilienceConfig) []ResiliencePoint { return sim.RunResilience(cfg) }
-
 // CampaignConfig describes a Monte Carlo reliability campaign: one
 // fault plan swept over a (variant × fault-scale × seed) grid and
 // aggregated into per-variant degradation curves. CampaignVariant is
