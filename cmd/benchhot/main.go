@@ -4,6 +4,12 @@
 // trajectory is recorded alongside the code instead of living in
 // someone's terminal scrollback.
 //
+// The report carries a provenance stamp — the vcs revision the binary
+// was built from, the Go version, GOMAXPROCS and the CPU model — so
+// every committed number names the code and host that produced it.
+// Build the binary (go build stamps vcs information; go run does not)
+// and run it from a clean checkout to record a revision.
+//
 // Usage:
 //
 //	benchhot                         # print JSON to stdout
@@ -13,12 +19,15 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -51,8 +60,56 @@ type scenario struct {
 
 // report is the top-level JSON document.
 type report struct {
-	Benchtime string     `json:"benchtime"`
-	Scenarios []scenario `json:"scenarios"`
+	Benchtime  string     `json:"benchtime"`
+	Provenance stamp      `json:"provenance"`
+	Scenarios  []scenario `json:"scenarios"`
+}
+
+// stamp records what produced the numbers: the code, the toolchain and
+// the host.
+type stamp struct {
+	Revision   string `json:"vcs_revision"`
+	Modified   string `json:"vcs_modified"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	CPU        string `json:"cpu"`
+}
+
+func provenance() stamp {
+	st := stamp{
+		Revision: "unknown", Modified: "unknown",
+		GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU: runtime.NumCPU(), CPU: cpuModel(),
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				st.Revision = s.Value
+			case "vcs.modified":
+				st.Modified = s.Value
+			}
+		}
+	}
+	return st
+}
+
+// cpuModel reads the first "model name" from /proc/cpuinfo ("unknown"
+// where that file does not exist).
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 func scenarios() []scenario {
@@ -136,7 +193,7 @@ func main() {
 		log.Fatalf("setting benchtime: %v", err)
 	}
 
-	rep := report{Benchtime: benchtime.String()}
+	rep := report{Benchtime: benchtime.String(), Provenance: provenance()}
 	for _, sc := range scenarios() {
 		if *filter != "" && !strings.Contains(sc.Name, *filter) {
 			continue

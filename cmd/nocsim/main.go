@@ -38,7 +38,7 @@ func main() {
 	app := flag.String("app", "", "run an application workload instead of synthetic traffic (Radix, Canneal, FFT, FMM, Lu_cb, Streamcluster, Volrend, Barnes)")
 	rate := flag.Float64("rate", 0.05, "injection rate in packets/node/cycle (synthetic)")
 	size := flag.Int("size", 8, "mesh dimension (size × size)")
-	vcs := flag.Int("vcs", 0, "VCs per input buffer (0 = scheme default)")
+	vcs := flag.Int("vcs", 0, "VCs per VN per input port (0 = scheme default; at most 64 VCs per port, so 10 per VN for VN-based schemes)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	warmup := flag.Int("warmup", 2000, "warmup cycles")
 	measure := flag.Int("measure", 5000, "measurement cycles")
@@ -80,6 +80,10 @@ func main() {
 	scheme, err := noc.ParseScheme(*schemeName)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if err := noc.ValidateVCs(scheme, *vcs); err != nil {
+		log.Print(err)
+		os.Exit(2)
 	}
 	if _, err := noc.ParseFaultPlan(*faultSpec); err != nil {
 		log.Fatal(err)

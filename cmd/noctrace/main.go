@@ -32,7 +32,7 @@ func main() {
 	schemeName := flag.String("scheme", "FastPass", "scheme to trace")
 	rate := flag.Float64("rate", 0.08, "injection rate (uniform traffic)")
 	size := flag.Int("size", 4, "mesh dimension")
-	vcs := flag.Int("vcs", 0, "VCs (0 = scheme default)")
+	vcs := flag.Int("vcs", 0, "VCs per VN per input port (0 = scheme default; at most 64 VCs per port)")
 	cycles := flag.Int("cycles", 3000, "cycles to simulate")
 	capacity := flag.Int("events", 200, "retained event count")
 	pkt := flag.Uint64("pkt", 0, "print one packet's lifecycle")
@@ -44,6 +44,10 @@ func main() {
 	scheme, err := noc.ParseScheme(*schemeName)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if err := sim.ValidateVCs(scheme, *vcs); err != nil {
+		log.Print(err)
+		os.Exit(2)
 	}
 	inst := sim.Build(sim.Options{
 		Scheme: scheme, W: *size, H: *size, VCs: *vcs, Seed: *seed,

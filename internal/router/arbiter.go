@@ -1,5 +1,7 @@
 package router
 
+import "math/bits"
+
 // RRArbiter is a round-robin arbiter over n requesters. It grants the
 // first requesting index at or after the pointer, then advances the
 // pointer past the winner, giving every requester bounded waiting — the
@@ -32,11 +34,22 @@ func (a *RRArbiter) Grant(request func(i int) bool) int {
 	return -1
 }
 
-// GrantSlice is Grant over a boolean slice (len must equal n).
-func (a *RRArbiter) GrantSlice(reqs []bool) int {
-	if len(reqs) != a.n {
-		panic("router: request slice length mismatch")
+// GrantMask is Grant over a request mask (bit i = requester i, i < n),
+// found with a masked count-trailing-zeros instead of a scan.
+func (a *RRArbiter) GrantMask(m uint64) int {
+	if m == 0 {
+		return -1
 	}
-	//nocvet:ignore hotalloc2 the literal is consumed by Grant and never escapes (stack-allocated); alloc-guard pins 0 allocs/cycle
-	return a.Grant(func(i int) bool { return reqs[i] })
+	i := a.first(m)
+	a.next = (i + 1) % a.n
+	return i
+}
+
+// first returns the requester Grant would pick from the non-empty mask
+// m without moving the pointer.
+func (a *RRArbiter) first(m uint64) int {
+	if hi := m &^ (1<<a.next - 1); hi != 0 {
+		return bits.TrailingZeros64(hi)
+	}
+	return bits.TrailingZeros64(m)
 }

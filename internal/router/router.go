@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/message"
 	"repro/internal/routing"
@@ -72,10 +73,17 @@ type Config struct {
 	ClassVN func(message.Class) int
 }
 
+// MaxVCs is the most VCs an input port may have: the allocator keeps
+// a port's VCs in one uint64 mask.
+const MaxVCs = 64
+
 // Validate checks internal consistency.
 func (c Config) Validate() error {
 	if c.NumVNs < 1 || c.VCsPerVN < 1 {
 		return fmt.Errorf("router: need at least 1 VN and 1 VC, have %d/%d", c.NumVNs, c.VCsPerVN)
+	}
+	if c.NetVCs() > MaxVCs || int(message.NumClasses) > MaxVCs {
+		return fmt.Errorf("router: %d VNs × %d VCs exceed the %d VCs a port supports", c.NumVNs, c.VCsPerVN, MaxVCs)
 	}
 	if len(c.VCAlgorithms) != c.VCsPerVN {
 		return fmt.Errorf("router: %d VC algorithms for %d VCs", len(c.VCAlgorithms), c.VCsPerVN)
@@ -118,16 +126,22 @@ type Router struct {
 	// the mesh edge has no neighbour.
 	outLinks, inLinks []int
 
-	// vcFree tracks downstream VC availability per output port; it is
-	// the credit state of virtual cut-through with one packet per VC: a
+	// vcFree is the credit state per output port, bit v for downstream
+	// VC v: under virtual cut-through with one packet per VC, a
 	// downstream VC is either wholly free or owned by one packet.
-	vcFree [][]bool
+	vcFree []uint64
+
+	// pend[p] / ready[p] mark port p's VCs whose head awaits VC
+	// allocation / has a flit to send; owners holds each VC's
+	// back-reference into them and resident (see VC.sync).
+	pend, ready []uint64
+	owners      []vcOwner
 
 	// ejecting marks classes with a regular packet mid-ejection.
 	ejecting [message.NumClasses]bool
 
 	// resident counts packets buffered across all VCs; the VCs keep it
-	// current (see VC.Resident) so Occupied is O(1). An empty router's
+	// current (see VC.own) so Occupied is O(1). An empty router's
 	// Step is a provable no-op, which is what lets the network's
 	// active-set scheduler skip it.
 	resident int
@@ -144,25 +158,14 @@ type Router struct {
 	saOutArb []*RRArbiter // stage 2: per output port over input ports
 	portTie  *RRArbiter   // adaptive output-port tie-break
 
-	// Preallocated per-cycle scratch (hot path).
-	slots   []vaSlot
-	nominee []int
-	granted []bool
-	isBest  []bool
-	// VA scratch: candidate ports and per-port allowed VC lists.
+	// Preallocated per-cycle scratch (hot path): stage-1 nominees and
+	// per-output request masks; VA candidate ports and, per port, the
+	// mask of allowed downstream VCs.
+	nominee   []int
+	outReq    []uint64
 	candPorts []topology.Direction
-	candVCs   [][]int
-	bestPorts []topology.Direction
+	candVCs   []uint64
 	routeBuf  []topology.Direction
-	// SA scratch: per-port VC request vectors and the output-stage
-	// request vector (avoids per-cycle closure allocations).
-	saReqs  [][]bool
-	saOutRq []bool
-}
-
-type vaSlot struct {
-	port topology.Direction
-	vc   int
 }
 
 // New wires a router for node id. Link IDs come from the mesh topology.
@@ -193,6 +196,9 @@ func New(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
 		}
 	}
 	r.Inputs = make([]*InputUnit, nPorts)
+	r.pend, r.ready = make([]uint64, nPorts), make([]uint64, nPorts)
+	r.owners = make([]vcOwner, int(message.NumClasses)+(nPorts-1)*cfg.NetVCs())
+	owners := r.owners
 	for p := 0; p < nPorts; p++ {
 		iu := &InputUnit{Port: topology.Direction(p)}
 		if p == int(topology.Local) {
@@ -205,38 +211,21 @@ func New(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
 				iu.VCs = append(iu.VCs, NewVC(cfg.BufFlits, 1))
 			}
 		}
-		for _, v := range iu.VCs {
-			v.Resident = &r.resident
+		for v, vc := range iu.VCs {
+			owners[0] = vcOwner{resident: &r.resident, pend: &r.pend[p], ready: &r.ready[p], bit: 1 << v}
+			vc.own, owners = &owners[0], owners[1:]
 		}
 		r.Inputs[p] = iu
 	}
-	r.vcFree = make([][]bool, nPorts)
+	r.vcFree = make([]uint64, nPorts)
 	for p := 1; p < nPorts; p++ {
-		r.vcFree[p] = make([]bool, cfg.NetVCs())
-		for v := range r.vcFree[p] {
-			r.vcFree[p][v] = true
-		}
-	}
-	for p, iu := range r.Inputs {
-		for v := range iu.VCs {
-			r.slots = append(r.slots, vaSlot{topology.Direction(p), v})
-		}
+		r.vcFree[p] = 1<<cfg.NetVCs() - 1
 	}
 	r.nominee = make([]int, nPorts)
-	r.granted = make([]bool, nPorts)
-	r.isBest = make([]bool, nPorts)
+	r.outReq = make([]uint64, nPorts)
 	r.candPorts = make([]topology.Direction, 0, nPorts)
-	r.candVCs = make([][]int, nPorts)
-	for p := range r.candVCs {
-		r.candVCs[p] = make([]int, 0, cfg.NetVCs())
-	}
-	r.bestPorts = make([]topology.Direction, 0, nPorts)
+	r.candVCs = make([]uint64, nPorts)
 	r.routeBuf = make([]topology.Direction, 0, 2)
-	r.saReqs = make([][]bool, nPorts)
-	for p := 0; p < nPorts; p++ {
-		r.saReqs[p] = make([]bool, len(r.Inputs[p].VCs))
-	}
-	r.saOutRq = make([]bool, nPorts)
 	r.saInArb = make([]*RRArbiter, nPorts)
 	r.saOutArb = make([]*RRArbiter, nPorts)
 	for p := 0; p < nPorts; p++ {
@@ -258,12 +247,12 @@ func (r *Router) VCFor(port topology.Direction, vc int) *VC { return r.Inputs[po
 
 // DownstreamVCFree reports the credit state for (outPort, outVC).
 func (r *Router) DownstreamVCFree(port topology.Direction, vc int) bool {
-	return r.vcFree[port][vc]
+	return r.vcFree[port]>>vc&1 == 1
 }
 
 // MarkVCFree records an arriving credit: the downstream VC behind
 // outPort is free again.
-func (r *Router) MarkVCFree(port topology.Direction, vc int) { r.vcFree[port][vc] = true }
+func (r *Router) MarkVCFree(port topology.Direction, vc int) { r.vcFree[port] |= 1 << vc }
 
 // Occupied reports whether any packet is buffered in this router. An
 // unoccupied router's Step cannot change any state (see DESIGN.md §9),
@@ -330,15 +319,15 @@ func (r *Router) InjectionFree(c message.Class) int {
 func (r *Router) vnOf(pkt *message.Packet) int { return r.Cfg.ClassVN(pkt.Class) }
 
 // allowedPorts fills the router's VA scratch with, for a head packet,
-// the candidate output ports and for each the usable VC indices
+// the candidate output ports and for each the mask of usable VC indices
 // (global), honouring per-VC routing algorithms. Local (ejection) is
-// handled separately. The returned slices alias router scratch and are
+// handled separately. The returned slice aliases router scratch and is
 // valid until the next call.
 func (r *Router) allowedPorts(pkt *message.Packet) []topology.Direction {
 	vn := r.vnOf(pkt)
 	r.candPorts = r.candPorts[:0]
 	for p := range r.candVCs {
-		r.candVCs[p] = r.candVCs[p][:0]
+		r.candVCs[p] = 0
 	}
 	for vcIdx, alg := range r.Cfg.VCAlgorithms {
 		f := routing.ForAlgorithm(alg)
@@ -346,11 +335,10 @@ func (r *Router) allowedPorts(pkt *message.Packet) []topology.Direction {
 			if r.outLinks[p] < 0 {
 				continue
 			}
-			gvc := vn*r.Cfg.VCsPerVN + vcIdx
-			if len(r.candVCs[p]) == 0 {
+			if r.candVCs[p] == 0 {
 				r.candPorts = append(r.candPorts, p)
 			}
-			r.candVCs[p] = append(r.candVCs[p], gvc)
+			r.candVCs[p] |= 1 << (vn*r.Cfg.VCsPerVN + vcIdx)
 		}
 	}
 	return r.candPorts
@@ -363,29 +351,41 @@ func (r *Router) Step() {
 	r.switchAllocate()
 }
 
-// allocateVCs performs VC allocation for every unallocated head entry,
-// in round-robin order across (port, vc). The rotation start is derived
-// from the cycle number rather than kept in a stateful arbiter: the old
-// pointer advanced unconditionally every cycle, so it always equalled
-// cycle mod len(slots) — deriving it makes an idle cycle a true no-op,
+// allocateVCs performs VC allocation for every head in the pend masks,
+// in round-robin order across the flattened (port, vc) slots: the start
+// port from the start VC up, the other ports, then the start port below
+// the start VC. The start is cycle mod the slot count, derived rather
+// than kept in a stateful arbiter, so an idle cycle is a true no-op —
 // which the active-set scheduler depends on to skip empty routers
-// without perturbing arbitration.
+// without perturbing arbitration. tryAllocate clears only its own VC's
+// bit, so each port's mask is read once.
 //
 //nocvet:phase route
 func (r *Router) allocateVCs() {
-	start := int(r.Env.Cycle() % int64(len(r.slots)))
-	for k := 0; k < len(r.slots); k++ {
-		s := r.slots[(start+k)%len(r.slots)]
-		e := r.Inputs[s.port].VCs[s.vc].Head()
-		if e == nil || e.Allocated || e.Arrived < 1 {
-			continue
+	sp, sv := 0, int(r.Env.Cycle()%int64(len(r.owners)))
+	for sv >= len(r.Inputs[sp].VCs) {
+		sv -= len(r.Inputs[sp].VCs)
+		sp++
+	}
+	n := len(r.pend)
+	for k := 0; k <= n; k++ {
+		p := (sp + k) % n
+		m := r.pend[p]
+		switch k {
+		case 0:
+			m &^= 1<<sv - 1
+		case n:
+			m &= 1<<sv - 1
 		}
-		r.tryAllocate(e)
+		for ; m != 0; m &= m - 1 {
+			r.tryAllocate(r.Inputs[p].VCs[bits.TrailingZeros64(m)])
+		}
 	}
 }
 
-// tryAllocate attempts VC allocation for one head entry.
-func (r *Router) tryAllocate(e *Entry) {
+// tryAllocate attempts VC allocation for the head entry of v.
+func (r *Router) tryAllocate(v *VC) {
+	e := v.Head()
 	pkt := e.Pkt
 	if pkt.Dst == r.ID {
 		// Ejection: one packet per class at a time, NIC space required
@@ -398,62 +398,39 @@ func (r *Router) tryAllocate(e *Entry) {
 		e.Allocated = true
 		e.OutPort = topology.Local
 		e.OutVC = int(pkt.Class)
+		v.sync()
 		return
 	}
-	ports := r.allowedPorts(pkt)
-	// Keep only ports with at least one free allowed VC downstream.
+	// Keep only ports with at least one free allowed VC downstream; the
+	// best score wins.
 	bestScore := 0
-	best := r.bestPorts[:0]
-	for _, p := range ports {
-		score := 0
-		for _, gvc := range r.candVCs[p] {
-			if r.vcFree[p][gvc] {
-				score++
-			}
-		}
-		if score == 0 {
+	var best uint64
+	for _, p := range r.allowedPorts(pkt) {
+		score := bits.OnesCount64(r.candVCs[p] & r.vcFree[p])
+		if score == 0 || score < bestScore {
 			continue
 		}
 		if score > bestScore {
-			bestScore = score
-			best = best[:0]
+			bestScore, best = score, 0
 		}
-		if score == bestScore {
-			best = append(best, p)
-		}
+		best |= 1 << p
 	}
-	if len(best) == 0 {
+	if best == 0 {
 		return
 	}
 	// Tie-break with a rotating pointer so symmetric traffic spreads.
-	choice := best[0]
-	if len(best) > 1 {
-		for i := range r.isBest {
-			r.isBest[i] = false
-		}
-		for _, p := range best {
-			r.isBest[p] = true
-		}
-		if g := r.portTie.GrantSlice(r.isBest); g >= 0 {
-			choice = topology.Direction(g)
-		}
+	choice := topology.Direction(bits.TrailingZeros64(best))
+	if best&(best-1) != 0 {
+		choice = topology.Direction(r.portTie.GrantMask(best))
 	}
 	// Prefer the highest-index free VC: adaptive channels before the
 	// escape channel, which stays available as the guaranteed drain.
-	vcs := r.candVCs[choice]
-	pick := -1
-	for _, gvc := range vcs {
-		if r.vcFree[choice][gvc] && gvc > pick {
-			pick = gvc
-		}
-	}
-	if pick < 0 {
-		return
-	}
-	r.vcFree[choice][pick] = false
+	pick := 63 - bits.LeadingZeros64(r.candVCs[choice]&r.vcFree[choice])
+	r.vcFree[choice] &^= 1 << pick
 	e.Allocated = true
 	e.OutPort = choice
 	e.OutVC = pick
+	v.sync()
 }
 
 // switchAllocate runs the two-stage separable switch allocator and
@@ -461,74 +438,43 @@ func (r *Router) tryAllocate(e *Entry) {
 //
 //nocvet:phase alloc
 func (r *Router) switchAllocate() {
-	nPorts := r.Mesh.NumPorts()
-	// Stage 1: each input port nominates one VC with a sendable flit. A
-	// fault-stalled input port nominates nothing: its buffered flits
-	// are frozen in place until the stall clears (or the watchdogs give
-	// up on them).
-	nominee := r.nominee
-	for p := 0; p < nPorts; p++ {
-		iu := r.Inputs[p]
-		reqs := r.saReqs[p]
-		if r.Env.InputStalled(r.ID, p) {
-			nominee[p] = -1
+	// Stage 1: each input port nominates, in its arbiter's order, the
+	// first ready VC whose output is not claimed by a bypass this
+	// cycle. A fault-stalled input port nominates nothing: its buffered
+	// flits are frozen in place until the stall clears (or the
+	// watchdogs give up on them).
+	for p, m := range r.ready {
+		r.nominee[p] = -1
+		if m == 0 || r.Env.InputStalled(r.ID, p) {
 			continue
 		}
-		for v := range iu.VCs {
-			reqs[v] = r.sendable(iu.VCs[v])
-		}
-		nominee[p] = r.saInArb[p].GrantSlice(reqs)
-	}
-	// Stage 2: each output port picks among nominating inputs.
-	granted := r.granted
-	for i := range granted {
-		granted[i] = false
-	}
-	for out := 0; out < nPorts; out++ {
-		rq := r.saOutRq
-		any := false
-		for in := 0; in < nPorts; in++ {
-			rq[in] = false
-			if granted[in] || nominee[in] < 0 {
+		arb := r.saInArb[p]
+		for m != 0 {
+			v := arb.first(m)
+			m &^= 1 << v
+			out := r.Inputs[p].VCs[v].Head().OutPort
+			if out == topology.Local && r.Env.EjectClaimed(r.ID) ||
+				out != topology.Local && r.Env.LinkClaimed(r.outLinks[out]) {
 				continue
 			}
-			e := r.Inputs[in].VCs[nominee[in]].Head()
-			if int(e.OutPort) == out {
-				rq[in] = true
-				any = true
-			}
+			arb.next = (v + 1) % arb.n
+			r.nominee[p] = v
+			r.outReq[out] |= 1 << p
+			break
 		}
-		if !any {
+	}
+	// Stage 2: each output port grants one of the inputs requesting it;
+	// the others spent the cycle stalled in switch allocation — the
+	// contention signal the telemetry windows track.
+	for out, rq := range r.outReq {
+		if rq == 0 {
 			continue
 		}
-		winner := r.saOutArb[out].GrantSlice(rq)
-		if winner < 0 {
-			continue
-		}
-		granted[winner] = true
-		r.transmit(topology.Direction(winner), nominee[winner])
+		r.outReq[out] = 0
+		r.SwitchStalls += int64(bits.OnesCount64(rq) - 1)
+		in := r.saOutArb[out].GrantMask(rq)
+		r.transmit(topology.Direction(in), r.nominee[in])
 	}
-	// An input whose nominated flit no output granted spent the cycle
-	// stalled in switch allocation — the contention signal the telemetry
-	// windows track.
-	for p := 0; p < nPorts; p++ {
-		if nominee[p] >= 0 && !granted[p] {
-			r.SwitchStalls++
-		}
-	}
-}
-
-// sendable reports whether the VC's head entry can move a flit this
-// cycle.
-func (r *Router) sendable(v *VC) bool {
-	e := v.Head()
-	if e == nil || !e.Allocated || e.Sent >= e.Arrived {
-		return false
-	}
-	if e.OutPort == topology.Local {
-		return !r.Env.EjectClaimed(r.ID)
-	}
-	return !r.Env.LinkClaimed(r.outLinks[e.OutPort])
 }
 
 // transmit moves one flit of the head packet at (in, vc) through the
@@ -588,7 +534,7 @@ func (r *Router) RemoveHeadPacket(port topology.Direction, vc int) *message.Pack
 			r.Env.CancelEject(r.ID, e.Pkt)
 			r.ejecting[e.Pkt.Class] = false
 		default:
-			r.vcFree[e.OutPort][e.OutVC] = true
+			r.MarkVCFree(e.OutPort, e.OutVC)
 		}
 		e.Allocated = false
 	}
@@ -620,7 +566,7 @@ func (r *Router) RemoveHeadPacketNoCredit(port topology.Direction, vc int) *mess
 			r.Env.CancelEject(r.ID, e.Pkt)
 			r.ejecting[e.Pkt.Class] = false
 		default:
-			r.vcFree[e.OutPort][e.OutVC] = true
+			r.MarkVCFree(e.OutPort, e.OutVC)
 		}
 		e.Allocated = false
 	}
@@ -642,7 +588,7 @@ func (r *Router) CreditUpstream(port topology.Direction, vc int) {
 // feeder); the claim clears through the normal credit return when the
 // packet eventually leaves.
 func (r *Router) ClaimDownstreamVC(port topology.Direction, vc int) {
-	r.vcFree[port][vc] = false
+	r.vcFree[port] &^= 1 << vc
 }
 
 // InsertPacket places a whole packet into (port, vc) if space allows.
@@ -693,8 +639,8 @@ func (r *Router) BlockedFor(port topology.Direction, vc int) int64 {
 // the router's VA scratch, so it must not run concurrently with Step.
 func (r *Router) ForEachCandidate(pkt *message.Packet, visit func(port topology.Direction, gvc int)) {
 	for _, p := range r.allowedPorts(pkt) {
-		for _, gvc := range r.candVCs[p] {
-			visit(p, gvc)
+		for m := r.candVCs[p]; m != 0; m &= m - 1 {
+			visit(p, bits.TrailingZeros64(m))
 		}
 	}
 }

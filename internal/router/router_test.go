@@ -103,6 +103,15 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad5.Validate(); err == nil {
 		t.Error("zero buffer accepted")
 	}
+	// A port's VCs share one uint64 mask: 64 VCs fit, 65 do not.
+	for _, c := range []struct {
+		vns, vcs int
+		ok       bool
+	}{{1, 64, true}, {1, 65, false}, {6, 10, true}, {6, 11, false}} {
+		if err := adaptiveCfg(c.vns, c.vcs).Validate(); (err == nil) != c.ok {
+			t.Errorf("%d VNs × %d VCs: Validate = %v, want ok=%v", c.vns, c.vcs, err, c.ok)
+		}
+	}
 }
 
 func TestRouterLinkWiring(t *testing.T) {

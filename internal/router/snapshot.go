@@ -46,16 +46,17 @@ func (v *VC) RestoreState(r *snapshot.Reader) {
 		v.entries.PushBack(e)
 	}
 	v.flits = flits
+	v.sync()
 }
 
-// SnapshotState encodes the router's mutable state: credit view,
-// per-class ejection locks, every input VC, and the round-robin
-// arbiter cursors (arbitration history is state — a restored run must
-// grant in the same rotation order).
+// SnapshotState encodes the router's mutable state: credit view (one
+// bool per downstream VC), per-class ejection locks, every input VC,
+// and the round-robin arbiter cursors (arbitration history is state — a
+// restored run must grant in the same rotation order).
 func (rt *Router) SnapshotState(w *snapshot.Writer) {
 	for p := 1; p < len(rt.vcFree); p++ {
-		for _, free := range rt.vcFree[p] {
-			w.Bool(free)
+		for v := 0; v < rt.Cfg.NetVCs(); v++ {
+			w.Bool(rt.DownstreamVCFree(topology.Direction(p), v))
 		}
 	}
 	for c := range rt.ejecting {
@@ -77,11 +78,14 @@ func (rt *Router) SnapshotState(w *snapshot.Writer) {
 	w.I64(rt.SwitchStalls)
 }
 
-// RestoreState decodes into a freshly built router.
+// RestoreState decodes into a freshly built router (all credits free);
+// each VC's restore rebuilds its head-mask bits.
 func (rt *Router) RestoreState(r *snapshot.Reader) {
 	for p := 1; p < len(rt.vcFree); p++ {
-		for v := range rt.vcFree[p] {
-			rt.vcFree[p][v] = r.Bool()
+		for v := 0; v < rt.Cfg.NetVCs(); v++ {
+			if !r.Bool() {
+				rt.ClaimDownstreamVC(topology.Direction(p), v)
+			}
 		}
 	}
 	for c := range rt.ejecting {
@@ -107,8 +111,8 @@ func init() {
 	snapshot.Register("router.Router", Router{},
 		[]string{
 			"vcFree", "ejecting", "Inputs",
-			// resident is reconstructed by VC restore through the
-			// Resident pointer (one increment per rebuilt entry).
+			// resident is reconstructed by VC restore through each
+			// VC's owner (one increment per rebuilt entry).
 			"resident",
 			"saInArb", "saOutArb", "portTie",
 			"FlitsRouted", "SwitchStalls",
@@ -116,16 +120,19 @@ func init() {
 		[]string{
 			// Wiring and sizing from New.
 			"ID", "Mesh", "Cfg", "Env", "outLinks", "inLinks",
+			"owners",
+			// Head masks: derived from VC contents, rebuilt by the
+			// sync that ends each VC's restore.
+			"pend", "ready",
 			// Per-cycle scratch, rewritten before every read.
-			"slots", "nominee", "granted", "isBest", "candPorts",
-			"candVCs", "bestPorts", "routeBuf", "saReqs", "saOutRq",
+			"nominee", "outReq", "candPorts", "candVCs", "routeBuf",
 		})
 	snapshot.Register("router.InputUnit", InputUnit{},
 		[]string{"VCs"},
 		[]string{"Port"})
 	snapshot.Register("router.VC", VC{},
 		[]string{"entries", "flits"},
-		[]string{"CapFlits", "MaxPkts", "freeEntries", "Resident"})
+		[]string{"CapFlits", "MaxPkts", "freeEntries", "own"})
 	snapshot.Register("router.Entry", Entry{},
 		[]string{"Pkt", "Arrived", "Sent", "Allocated", "OutPort", "OutVC", "EnqueueCycle", "LastMove"},
 		nil)

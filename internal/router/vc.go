@@ -61,11 +61,38 @@ type VC struct {
 	flits             int
 	freeEntries       []*Entry
 
-	// Resident, when set, points at the owning router's resident-packet
-	// counter; the VC keeps it in sync on every enqueue/dequeue so the
-	// active-set scheduler can test router occupancy in O(1) even when
-	// controllers manipulate VCs directly.
-	Resident *int
+	// own, when set, points at the owning router's resident counter and
+	// head masks, which the VC keeps current on every mutation, even
+	// when controllers manipulate VCs directly. One pointer keeps VC at
+	// 96 B (TestVCSize).
+	own *vcOwner
+}
+
+// vcOwner is a router's per-VC back-reference: its resident counter,
+// the pend/ready masks of the VC's input port, and the VC's bit in them.
+type vcOwner struct {
+	resident    *int
+	pend, ready *uint64
+	bit         uint64
+}
+
+// sync recomputes the VC's pend and ready bits from its head entry;
+// every mutator ends with it, as does tryAllocate.
+func (v *VC) sync() {
+	o := v.own
+	if o == nil {
+		return
+	}
+	*o.pend &^= o.bit
+	*o.ready &^= o.bit
+	e := v.Head()
+	switch {
+	case e == nil || e.Arrived < 1:
+	case !e.Allocated:
+		*o.pend |= o.bit
+	case e.Sent < e.Arrived:
+		*o.ready |= o.bit
+	}
 }
 
 // NewVC constructs a VC with the given capacities.
@@ -92,8 +119,8 @@ func (v *VC) alloc(pkt *message.Packet, arrived int, cycle int64) *Entry {
 	e.Arrived = arrived
 	e.EnqueueCycle = cycle
 	e.LastMove = cycle
-	if v.Resident != nil {
-		*v.Resident++
+	if v.own != nil {
+		*v.own.resident++
 	}
 	return e
 }
@@ -102,8 +129,8 @@ func (v *VC) alloc(pkt *message.Packet, arrived int, cycle int64) *Entry {
 func (v *VC) release(e *Entry) {
 	e.Pkt = nil
 	v.freeEntries = append(v.freeEntries, e)
-	if v.Resident != nil {
-		*v.Resident--
+	if v.own != nil {
+		*v.own.resident--
 	}
 }
 
@@ -156,6 +183,7 @@ func (v *VC) EnqueueOverflow(pkt *message.Packet, cycle int64) *Entry {
 	e := v.alloc(pkt, pkt.Len, cycle)
 	v.entries.PushBack(e)
 	v.flits += pkt.Len
+	v.sync()
 	return e
 }
 
@@ -173,6 +201,7 @@ func (v *VC) EnqueueFrontOverflow(pkt *message.Packet, cycle int64) *Entry {
 	}
 	v.entries.InsertAt(pos, e)
 	v.flits += pkt.Len
+	v.sync()
 	return e
 }
 
@@ -185,6 +214,7 @@ func (v *VC) AcceptHead(pkt *message.Packet, cycle int64) *Entry {
 	e := v.alloc(pkt, 1, cycle)
 	v.entries.PushBack(e)
 	v.flits++
+	v.sync()
 	return e
 }
 
@@ -200,6 +230,7 @@ func (v *VC) AcceptBody(pkt *message.Packet, cycle int64) {
 	e.Arrived++
 	e.LastMove = cycle
 	v.flits++
+	v.sync()
 }
 
 // SendFlit records the departure of the next flit of the head packet
@@ -215,12 +246,13 @@ func (v *VC) SendFlit(cycle int64) (f message.Flit, done bool) {
 	e.Sent++
 	e.LastMove = cycle
 	v.flits--
-	if e.Sent == e.Pkt.Len {
+	done = e.Sent == e.Pkt.Len
+	if done {
 		v.entries.PopFront()
 		v.release(e)
-		return f, true
 	}
-	return f, false
+	v.sync()
+	return f, done
 }
 
 // RemoveHead extracts the entire head packet atomically (upgrades to
@@ -238,6 +270,7 @@ func (v *VC) RemoveHead() *message.Packet {
 	v.entries.PopFront()
 	v.flits -= pkt.Len
 	v.release(e)
+	v.sync()
 	return pkt
 }
 
@@ -252,5 +285,6 @@ func (v *VC) RemoveAt(i int) *message.Packet {
 	v.entries.RemoveAt(i)
 	v.flits -= pkt.Len
 	v.release(e)
+	v.sync()
 	return pkt
 }

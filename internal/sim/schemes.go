@@ -105,6 +105,31 @@ func (s Scheme) DefaultVCs() int {
 	return 2
 }
 
+// ValidateVCs checks a VCs-per-VN request (0 selects the scheme
+// default) at flag-parse time, so commands reject values Build cannot
+// construct with a usage error instead of a panic. A port holds at most
+// router.MaxVCs VCs, so VN-based schemes allow at most 10 per VN.
+func ValidateVCs(s Scheme, vcs int) error {
+	if vcs < 0 {
+		return fmt.Errorf("sim: vcs %d must be positive (or 0 for the scheme default)", vcs)
+	}
+	if vcs == 0 || s == MinBD {
+		return nil
+	}
+	if s == EscapeVC && vcs < 2 {
+		return fmt.Errorf("sim: EscapeVC needs at least 2 VCs per VN (escape + adaptive), have %d", vcs)
+	}
+	vns := 1
+	if s.UsesVNs() {
+		vns = int(message.NumClasses)
+	}
+	if vns*vcs > router.MaxVCs {
+		return fmt.Errorf("sim: %v with %d VCs per VN needs %d VCs per port; the limit is %d (at most %d per VN)",
+			s, vcs, vns*vcs, router.MaxVCs, router.MaxVCs/vns)
+	}
+	return nil
+}
+
 // SupportsProtocol reports whether the scheme can run coherence traffic
 // in our harness (MinBD's deflection network carries only synthetic
 // loads, matching its absence from Figs. 10 and 12).

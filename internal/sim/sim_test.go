@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/traffic"
@@ -160,5 +162,53 @@ func TestDeterministicResults(t *testing.T) {
 	b := RunSynthetic(quickCfg(FastPass, 0.05))
 	if a.AvgLatency != b.AvgLatency || a.Samples != b.Samples || a.Promoted != b.Promoted {
 		t.Fatalf("non-deterministic synthetic results: %+v vs %+v", a, b)
+	}
+}
+
+// TestValidateVCs covers the CLI-facing -vcs check: negative counts,
+// EscapeVC without an adaptive channel and ports over router.MaxVCs are
+// usage errors; every accepted count builds, including the ceilings.
+func TestValidateVCs(t *testing.T) {
+	cases := []struct {
+		scheme Scheme
+		vcs    int
+		ok     bool
+		errHas string
+	}{
+		{FastPass, 0, true, ""},
+		{FastPass, 1, true, ""},
+		{FastPass, 64, true, ""},
+		{FastPass, 65, false, "limit is 64"},
+		{FastPass, -3, false, "must be positive"},
+		{Pitstop, 64, true, ""},
+		{Pitstop, 65, false, "limit is 64"},
+		{EscapeVC, 0, true, ""},
+		{EscapeVC, 1, false, "at least 2"},
+		{EscapeVC, 2, true, ""},
+		{EscapeVC, 10, true, ""},
+		{EscapeVC, 11, false, "at most 10 per VN"},
+		{SPIN, 1, true, ""},
+		{SPIN, 11, false, "at most 10 per VN"},
+		{SWAP, 10, true, ""},
+		{DRAIN, 11, false, "66 VCs per port"},
+		{TFC, 11, false, "limit is 64"},
+		{TFC, -2, false, "must be positive"},
+		{MinBD, 0, true, ""},
+		{MinBD, 100, true, ""},
+		{MinBD, -1, false, "must be positive"},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%v/%d", c.scheme, c.vcs), func(t *testing.T) {
+			err := ValidateVCs(c.scheme, c.vcs)
+			if (err == nil) != c.ok {
+				t.Fatalf("ValidateVCs(%v, %d) = %v, want ok=%v", c.scheme, c.vcs, err, c.ok)
+			}
+			if err != nil && !strings.Contains(err.Error(), c.errHas) {
+				t.Fatalf("ValidateVCs(%v, %d) = %q, want it to mention %q", c.scheme, c.vcs, err, c.errHas)
+			}
+			if c.ok {
+				Build(Options{Scheme: c.scheme, W: 2, H: 2, VCs: c.vcs})
+			}
+		})
 	}
 }

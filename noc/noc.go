@@ -115,6 +115,10 @@ func ResumeSynthetic(cfg SynthConfig, data []byte) (SynthResult, error) {
 // flag-parse time (1 ≤ shards ≤ nodes).
 func ValidateShards(shards, nodes int) error { return sim.ValidateShards(shards, nodes) }
 
+// ValidateVCs checks a VCs-per-VN request for a scheme at flag-parse
+// time (0 = scheme default; at most 64 VCs per port).
+func ValidateVCs(s Scheme, vcs int) error { return sim.ValidateVCs(s, vcs) }
+
 // SweepLatency measures a latency-vs-injection-rate curve (a Fig. 7
 // series) on all cores. Results are deterministic: the same seed yields
 // bit-identical curves at any parallelism.
