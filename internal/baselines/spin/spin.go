@@ -175,7 +175,7 @@ func (c *Controller) probe(n *network.Network, origin slot, cycle int64) {
 			if idx == 0 {
 				c.Detections++
 				c.Trace.Record(cycle, trace.RecoveryAction, 0, origin.node,
-					//nocvet:ignore hotalloc2 fires once per confirmed deadlock loop, never in steady state
+					//nocvet:ignore hotalloc fires once per confirmed deadlock loop, never in steady state
 					fmt.Sprintf("spin detection, loop length %d", len(chain)))
 				c.pending = append(c.pending, pendingSpin{
 					chain: chain,
@@ -272,7 +272,7 @@ func (c *Controller) executeSpin(n *network.Network, ps pendingSpin) {
 			return
 		}
 	}
-	pkts := make([]*message.Packet, len(chain)) //nocvet:ignore hotalloc2 spin execution is a rare recovery event, not per-cycle work
+	pkts := make([]*message.Packet, len(chain)) //nocvet:ignore hotalloc spin execution is a rare recovery event, not per-cycle work
 	for i, s := range chain {
 		pkts[i] = n.Routers[s.node].RemoveHeadPacketNoCredit(s.port, s.vc)
 		if pkts[i] == nil {
@@ -288,6 +288,6 @@ func (c *Controller) executeSpin(n *network.Network, ps pendingSpin) {
 	}
 	c.Spins++
 	c.Trace.Record(n.Cycle(), trace.RecoveryAction, 0, chain[0].node,
-		//nocvet:ignore hotalloc2 fires once per executed spin, never in steady state
+		//nocvet:ignore hotalloc fires once per executed spin, never in steady state
 		fmt.Sprintf("spin executed, %d packets rotated", len(chain)))
 }

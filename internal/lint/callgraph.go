@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the whole-program layer under nocvet's interprocedural
-// analyzers (phasesafe, dettaint, hotalloc2): a type-resolved,
+// analyzers (phasesafe, dettaint, hotalloc): a type-resolved,
 // cross-package call graph over every package handed to one nocvet run,
 // built from the stdlib type checker alone.
 //
@@ -22,10 +22,10 @@ import (
 //	    itself annotated with a different phase.
 //	//nocvet:hot
 //	    marks a function as an extra per-cycle hot-path root for
-//	    dettaint and hotalloc2 (Network.Step carries it; Controller
+//	    dettaint and hotalloc (Network.Step carries it; Controller
 //	    PreCycle/PostCycle implementations are discovered by type).
 //	//nocvet:cold <reason>
-//	    marks a function as a rare-event boundary: hotalloc2 does not
+//	    marks a function as a rare-event boundary: hotalloc does not
 //	    traverse into it or its callees (e.g. the FastPass healing
 //	    re-derivation, which runs once per permanent link failure, not
 //	    per cycle). Only the allocation rule is scoped this way — the
@@ -74,7 +74,7 @@ type FuncNode struct {
 	Phase string
 	// Hot marks an explicit //nocvet:hot root.
 	Hot bool
-	// Cold marks a //nocvet:cold rare-event boundary: hotalloc2 stops
+	// Cold marks a //nocvet:cold rare-event boundary: hotalloc stops
 	// its hot-path traversal here instead of flagging allocations in a
 	// subtree that provably runs on rare events, not per cycle.
 	Cold bool

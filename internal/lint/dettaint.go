@@ -325,19 +325,16 @@ func (t *taintAnalysis) taintOfCall(p *Package, call *ast.CallExpr, taintOf func
 		}
 		return taintOf(call.Args[0]) // other conversions pass taint through
 	}
+	if src := hostInput(p, call); src != nil {
+		if isClockRead(src) {
+			return "wall-clock read (time." + src.Name() + ")"
+		}
+		return "global math/rand state"
+	}
 	fn := calledFunc(p, call)
 	if fn != nil && fn.Pkg() != nil {
 		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil {
-			switch fn.Pkg().Path() {
-			case "math/rand", "math/rand/v2":
-				if forbiddenRand[fn.Name()] {
-					return "global math/rand state"
-				}
-			case "time":
-				if forbiddenTime[fn.Name()] {
-					return "wall-clock read (time." + fn.Name() + ")"
-				}
-			case "sort", "slices":
+			if path := fn.Pkg().Path(); path == "sort" || path == "slices" {
 				return "" // launderers: deterministic output order
 			}
 		}
@@ -412,29 +409,19 @@ func (t *taintAnalysis) reportFieldSinks(p *Package, as *ast.AssignStmt, sink *s
 // reportHotCall flags taint entering the per-cycle hot path through a
 // call: either a direct source or a helper whose return is tainted.
 func (t *taintAnalysis) reportHotCall(p *Package, call *ast.CallExpr, sink *sinkContext) {
-	fn := calledFunc(p, call)
-	if fn == nil || fn.Pkg() == nil {
+	if src := hostInput(p, call); src != nil {
+		if isClockRead(src) {
+			sink.findings = append(sink.findings, p.finding("dettaint", call,
+				"wall-clock time.%s inside the per-cycle hot path (%s is reachable from Step)",
+				src.Name(), sink.node.FullName()))
+		} else {
+			sink.findings = append(sink.findings, p.finding("dettaint", call,
+				"global rand.%s inside the per-cycle hot path (%s is reachable from Step)",
+				src.Name(), sink.node.FullName()))
+		}
 		return
 	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil {
-		switch fn.Pkg().Path() {
-		case "math/rand", "math/rand/v2":
-			if forbiddenRand[fn.Name()] {
-				sink.findings = append(sink.findings, p.finding("dettaint", call,
-					"global rand.%s inside the per-cycle hot path (%s is reachable from Step)",
-					fn.Name(), sink.node.FullName()))
-			}
-			return
-		case "time":
-			if forbiddenTime[fn.Name()] {
-				sink.findings = append(sink.findings, p.finding("dettaint", call,
-					"wall-clock time.%s inside the per-cycle hot path (%s is reachable from Step)",
-					fn.Name(), sink.node.FullName()))
-			}
-			return
-		}
-	}
-	if node := t.prog.Node(fn); node != nil {
+	if node := t.prog.Node(calledFunc(p, call)); node != nil {
 		if r := t.summaries[node]; r != "" {
 			sink.findings = append(sink.findings, p.finding("dettaint", call,
 				"call to %s returns a nondeterministic value (%s) inside the per-cycle hot path",

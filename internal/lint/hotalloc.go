@@ -2,89 +2,122 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
-	"strings"
 )
 
-// HotAlloc keeps the per-cycle simulation kernel off the allocator. The
-// hot-path packages (internal/nic, internal/router, internal/network)
-// hold the steady-state zero-allocs-per-cycle contract from the
-// arena/ring-buffer refactor, and two idioms quietly break it:
+// HotAlloc keeps the per-cycle simulation kernel off the allocator. It
+// computes the actual per-cycle hot path — everything reachable over
+// the whole-program call graph from Network.Step, from the
+// controllers' PreCycle/PostCycle scans, and from any //nocvet:hot or
+// //nocvet:phase root — and flags allocation idioms wherever that
+// closure reaches, including helpers hiding in other packages:
 //
+//   - make / new / &T{…} composite-literal escapes (a fresh heap
+//     object per cycle);
+//   - append to a slice declared empty in the same function (the
+//     backing array is garbage every cycle; scratch must live in the
+//     struct and be reset with s[:0]);
 //   - the append-prepend copy, `append([]T{x}, q...)`, which allocates
 //     a fresh backing array and copies the whole queue to put one
 //     element in front — the ring buffers in internal/ringq exist
 //     precisely so PushFront is O(1);
-//   - a `make` inside per-cycle code, which turns one forgotten scratch
-//     slice into an allocation every simulated cycle.
+//   - variable-capturing closures (each capture forces a heap
+//     allocation when the literal escapes);
+//   - arguments boxed into a variadic ...any parameter (fmt-style
+//     calls allocate an interface box per argument).
 //
-// Construction is not per cycle, so functions named New*/new* and init
-// may allocate freely; everything else in a hot-path package is assumed
-// to run during simulation. A genuinely cold path (a drain epilogue, an
-// error report) can state that with a `//nocvet:ignore hotalloc`
-// suppression.
+// Code no hot root reaches — constructors, reconfiguration such as
+// Network.SetShards, reporting — may allocate freely. Arguments of
+// panic calls are exempt: a panicking cycle is already dead, and the
+// invariant panics deliberately format rich messages. A whole
+// rare-event subtree (the FastPass healing re-derivation, which runs
+// once per permanent link failure) declares itself with a //nocvet:cold
+// directive on its entry function: the traversal stops there instead of
+// flagging every allocation below it. Cold scoping applies to this
+// analyzer only — dettaint and phasesafe still cover cold code, because
+// rare code still mutates simulated state. Anything else that is
+// provably cold (a drain epilogue, a gated debug branch) states its
+// case with a //nocvet:ignore hotalloc suppression — backed, for the
+// steady state, by the alloc-guard test.
 type HotAlloc struct{}
 
 func (HotAlloc) Name() string { return "hotalloc" }
 func (HotAlloc) Doc() string {
-	return "forbid append-prepend copies and per-cycle make in hot-path packages"
+	return "flag allocation idioms anywhere reachable from the per-cycle hot path"
 }
 
-// hotPathPackage reports whether a package is covered by the
-// zero-allocs-per-cycle contract.
-func hotPathPackage(path string) bool {
-	switch {
-	case strings.HasSuffix(path, "/internal/nic"),
-		strings.HasSuffix(path, "/internal/router"),
-		strings.HasSuffix(path, "/internal/network"):
-		return true
-	}
-	// The analyzer's own fixture opts in so the golden test can exercise
-	// the rule without touching the real hot path.
-	return strings.HasSuffix(path, "/lint/testdata/src/hotalloc")
-}
+// Run implements Analyzer; hotalloc is whole-program only.
+func (HotAlloc) Run(*Package) []Finding { return nil }
 
-// setupFunc reports whether a function name marks one-time construction
-// rather than per-cycle work.
-func setupFunc(name string) bool {
-	return name == "init" ||
-		strings.HasPrefix(name, "New") ||
-		strings.HasPrefix(name, "new")
-}
-
-func (HotAlloc) Run(p *Package) []Finding {
-	if !hotPathPackage(p.Path) {
+func (HotAlloc) RunProgram(prog *Program) []Finding {
+	roots := prog.HotRoots()
+	if len(roots) == 0 {
 		return nil
 	}
+	hot := prog.Reachable(roots, func(n *FuncNode) bool { return n.Cold })
+	var findings []Finding
+	for _, n := range prog.Funcs {
+		if !hot[n] || n.Decl.Body == nil {
+			continue
+		}
+		findings = append(findings, hotAllocCheck(n, prog)...)
+	}
+	return findings
+}
+
+// hotAllocCheck scans one hot function for allocation idioms.
+func hotAllocCheck(n *FuncNode, prog *Program) []Finding {
+	p := n.Pkg
 	var out []Finding
-	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			perCycle := !setupFunc(fn.Name.Name)
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				switch builtinName(p, call.Fun) {
-				case "append":
-					if isPrependCopy(call) {
-						out = append(out, p.finding("hotalloc", call,
-							"append-prepend copies the whole queue to insert one element; use a ring buffer (internal/ringq PushFront) instead"))
-					}
+	emptyLocals := emptySliceLocals(p, n.Decl.Body)
+	var walk func(node ast.Node) bool
+	walk = func(node ast.Node) bool {
+		switch node := node.(type) {
+		case *ast.CallExpr:
+			if bn := builtinName(p, node.Fun); bn != "" {
+				switch bn {
+				case "panic":
+					return false // a panicking cycle is not a hot cycle
 				case "make":
-					if perCycle {
-						out = append(out, p.finding("hotalloc", call,
-							"make in per-cycle code of a hot-path package allocates every cycle; hoist the buffer into the struct and reuse it (reset with s[:0])"))
+					out = append(out, p.finding("hotalloc", node,
+						"make on the per-cycle hot path (%s is reachable from Step); hoist the buffer into the struct and reuse it", n.FullName()))
+				case "new":
+					out = append(out, p.finding("hotalloc", node,
+						"new on the per-cycle hot path (%s); allocate once at construction and reuse", n.FullName()))
+				case "append":
+					if isPrependCopy(node) {
+						out = append(out, p.finding("hotalloc", node,
+							"append-prepend copies the whole queue on the hot path; use internal/ringq PushFront"))
+					} else if id, ok := ast.Unparen(node.Fun).(*ast.Ident); ok && id.Name == "append" && len(node.Args) > 0 {
+						if tid, ok := ast.Unparen(node.Args[0]).(*ast.Ident); ok {
+							if obj := p.Info.Uses[tid]; obj != nil && emptyLocals[obj] {
+								out = append(out, p.finding("hotalloc", node,
+									"append to a slice born empty this call allocates a backing array every cycle; keep the scratch in the struct and reset with s[:0]"))
+							}
+						}
 					}
 				}
 				return true
-			})
+			}
+			out = append(out, boxedArgs(p, n, node)...)
+		case *ast.UnaryExpr:
+			if node.Op == token.AND {
+				if _, ok := ast.Unparen(node.X).(*ast.CompositeLit); ok {
+					out = append(out, p.finding("hotalloc", node,
+						"&composite literal on the hot path escapes to the heap (%s); reuse a struct-owned instance", n.FullName()))
+				}
+			}
+		case *ast.FuncLit:
+			if captured := capturesLocals(p, node); captured != "" {
+				out = append(out, p.finding("hotalloc", node,
+					"closure capturing %q on the hot path allocates when it escapes (%s); pass state explicitly or prove it non-escaping",
+					captured, n.FullName()))
+			}
 		}
+		return true
 	}
+	ast.Inspect(n.Decl.Body, walk)
 	return out
 }
 
@@ -111,4 +144,113 @@ func isPrependCopy(call *ast.CallExpr) bool {
 	}
 	lit, ok := call.Args[0].(*ast.CompositeLit)
 	return ok && len(lit.Elts) > 0
+}
+
+// emptySliceLocals finds local slice variables declared with no backing
+// storage (`var x []T` or `x := []T(nil)`): appending to one inside
+// per-cycle code guarantees a fresh allocation.
+func emptySliceLocals(p *Package, body ast.Node) map[types.Object]bool {
+	out := map[types.Object]bool{}
+	ast.Inspect(body, func(node ast.Node) bool {
+		decl, ok := node.(*ast.DeclStmt)
+		if !ok {
+			return true
+		}
+		gd, ok := decl.Decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			return true
+		}
+		for _, spec := range gd.Specs {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok || len(vs.Values) != 0 {
+				continue
+			}
+			for _, name := range vs.Names {
+				obj := p.Info.Defs[name]
+				if obj == nil {
+					continue
+				}
+				if _, isSlice := obj.Type().Underlying().(*types.Slice); isSlice {
+					out[obj] = true
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// boxedArgs flags call arguments boxed into a variadic ...any
+// parameter of a non-module function (fmt-style formatting allocates
+// an interface box per argument).
+func boxedArgs(p *Package, n *FuncNode, call *ast.CallExpr) []Finding {
+	fn := calledFunc(p, call)
+	if fn == nil || fn.Pkg() == nil {
+		return nil
+	}
+	if path := fn.Pkg().Path(); path == p.ModPath || len(path) > len(p.ModPath) && path[:len(p.ModPath)+1] == p.ModPath+"/" {
+		return nil // module calls are analyzed on their own bodies
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || !sig.Variadic() || sig.Params().Len() == 0 {
+		return nil
+	}
+	last := sig.Params().At(sig.Params().Len() - 1)
+	slice, ok := last.Type().(*types.Slice)
+	if !ok {
+		return nil
+	}
+	iface, ok := slice.Elem().Underlying().(*types.Interface)
+	if !ok || iface.NumMethods() != 0 {
+		return nil
+	}
+	fixed := sig.Params().Len() - 1
+	for i, arg := range call.Args {
+		if i < fixed || call.Ellipsis.IsValid() {
+			continue
+		}
+		at := p.Info.Types[arg].Type
+		if at == nil {
+			continue
+		}
+		if _, isIface := at.Underlying().(*types.Interface); isIface {
+			continue
+		}
+		if b, ok := at.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
+			continue
+		}
+		return []Finding{p.finding("hotalloc", call,
+			"argument boxed into %s.%s's ...any on the hot path allocates per call (%s); gate the formatting or precompute the string",
+			fn.Pkg().Name(), fn.Name(), n.FullName())}
+	}
+	return nil
+}
+
+// capturesLocals reports (one of) the enclosing local variables a
+// function literal captures, or "" for a capture-free literal (which
+// the compiler materializes statically, no allocation).
+func capturesLocals(p *Package, lit *ast.FuncLit) string {
+	captured := ""
+	ast.Inspect(lit.Body, func(node ast.Node) bool {
+		if captured != "" {
+			return false
+		}
+		id, ok := node.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		v, ok := p.Info.Uses[id].(*types.Var)
+		if !ok || v.IsField() {
+			return true
+		}
+		if v.Parent() == nil || v.Parent() == types.Universe || v.Parent() == p.Types.Scope() {
+			return true // package-level or universe: not a capture
+		}
+		// Declared outside the literal but inside the function: capture.
+		if v.Pos() < lit.Pos() || v.Pos() > lit.End() {
+			captured = v.Name()
+		}
+		return true
+	})
+	return captured
 }

@@ -5,23 +5,20 @@
 // cycle-accurate run; these analyzers keep contributions honest about
 // the properties the tests assume:
 //
-//	detrand    — no wall-clock or global math/rand state in internal/
-//	             simulation packages; randomness must flow through an
-//	             explicitly seeded *rand.Rand
+//	detrand    — no wall-clock reads or global math/rand state in
+//	             internal/ simulation packages (randomness must flow
+//	             through an explicitly seeded *rand.Rand), and no
+//	             reference to package time at all in
+//	             internal/{faults,invariant,snapshot,telemetry}: fault
+//	             schedules, watchdog bounds and checkpoints are
+//	             simulated cycles, so a wedged run trips at the same
+//	             cycle on every machine
 //	maporder   — no ranging over a map where the body touches shared
 //	             simulator state (iteration order is nondeterministic)
 //	cyclewidth — cycle counters stay int64; no narrowing conversions
 //	             of cycle-derived values
 //	panicstyle — panic messages carry the "<pkg>: " prefix so
 //	             invariant violations are attributable
-//	hotalloc   — no append-prepend copies or per-cycle make calls in
-//	             the hot-path packages (internal/{nic,router,network});
-//	             the steady-state zero-allocs-per-cycle contract
-//	             depends on it
-//	wallclock  — no reference to package time at all in
-//	             internal/{faults,invariant}; fault schedules and
-//	             watchdog bounds are simulated cycles, so a wedged run
-//	             trips at the same cycle on every machine
 //
 // Three whole-program analyzers run over a type-resolved cross-package
 // call graph (callgraph.go) instead of one package at a time:
@@ -36,14 +33,19 @@
 //	             from map iteration order, select, wall clock, or
 //	             pointer identity must be laundered (sorted) before
 //	             they reach fields of simulator state
-//	hotalloc2  — the hotalloc idiom checks applied to everything
-//	             reachable from //nocvet:hot roots, phase roots, and
-//	             controller PreCycle/PostCycle — across packages
+//	hotalloc   — no append-prepend copies, make/new/&T{} escapes,
+//	             empty-slice appends, capturing closures or ...any
+//	             boxing in anything reachable from //nocvet:hot roots,
+//	             phase roots, and controller PreCycle/PostCycle —
+//	             across packages; the steady-state
+//	             zero-allocs-per-cycle contract depends on it
 //
 // Findings can be silenced with a `//nocvet:ignore <rule> <reason>`
 // comment on the offending line or the line directly above it. The
 // reason is mandatory by convention: a suppression is a claim that the
 // flagged code is deterministic anyway, and the claim should be stated.
+// A directive naming no analyzer of the suite is itself a finding, so a
+// suppression left behind by a renamed or merged rule cannot go quiet.
 package lint
 
 import (
@@ -88,8 +90,8 @@ type ProgramAnalyzer interface {
 // All returns the full analyzer suite in report order.
 func All() []Analyzer {
 	return []Analyzer{
-		DetRand{}, MapOrder{}, CycleWidth{}, PanicStyle{}, HotAlloc{}, Wallclock{},
-		PhaseSafe{}, DetTaint{}, HotAlloc2{},
+		DetRand{}, MapOrder{}, CycleWidth{}, PanicStyle{},
+		PhaseSafe{}, DetTaint{}, HotAlloc{},
 	}
 }
 
@@ -134,8 +136,7 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 			break
 		}
 	}
-	sup := collectSuppressions(pkgs)
-	var out []Finding
+	sup, out := collectSuppressions(pkgs)
 	keep := func(fs []Finding) {
 		for _, f := range fs {
 			if !sup.covers(f) {
@@ -189,15 +190,24 @@ func (s suppressions) covers(f Finding) bool {
 //
 //	//nocvet:ignore detrand jitter is cosmetic, not simulated state
 //	d := time.Now()
-func collectSuppressions(pkgs []*Package) suppressions {
-	sup := suppressions{}
-	for _, p := range pkgs {
-		sup.collect(p)
+//
+// A rule name that is not in All() suppresses nothing; it comes back as
+// a finding of its own, which no directive can silence.
+func collectSuppressions(pkgs []*Package) (suppressions, []Finding) {
+	known := map[string]bool{}
+	for _, name := range Names() {
+		known[name] = true
 	}
-	return sup
+	sup := suppressions{}
+	var unknown []Finding
+	for _, p := range pkgs {
+		unknown = append(unknown, sup.collect(p, known)...)
+	}
+	return sup, unknown
 }
 
-func (sup suppressions) collect(p *Package) {
+func (sup suppressions) collect(p *Package, known map[string]bool) []Finding {
+	var unknown []Finding
 	for _, file := range p.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
@@ -218,6 +228,11 @@ func (sup suppressions) collect(p *Package) {
 				}
 				for _, rule := range strings.Split(fields[0], ",") {
 					rule = strings.TrimSpace(rule)
+					if !known[rule] {
+						unknown = append(unknown, p.finding("nocvet", c,
+							"//nocvet:ignore names unknown rule %q (want %s)", rule, strings.Join(Names(), "|")))
+						continue
+					}
 					for _, line := range []int{pos.Line, pos.Line + 1} {
 						if byLine[line] == nil {
 							byLine[line] = map[string]bool{}
@@ -228,6 +243,7 @@ func (sup suppressions) collect(p *Package) {
 			}
 		}
 	}
+	return unknown
 }
 
 // finding builds a Finding at a node's position.

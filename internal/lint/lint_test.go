@@ -11,20 +11,46 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// fixture loads one fixture tree from testdata/src. The /... walk picks
-// up helper sub-packages, which the cross-package fixtures (dettaint,
-// hotalloc2) rely on.
-func fixture(t *testing.T, name string) []*Package {
+// fixture loads the packages matching pattern under testdata/src. A
+// /... pattern picks up helper sub-packages, which the cross-package
+// fixtures (dettaint, hotalloc2) rely on.
+func fixture(t *testing.T, pattern string) []*Package {
 	t.Helper()
 	l, err := NewLoader(".")
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	pkgs, err := l.Load("./internal/lint/testdata/src/" + name + "/...")
+	pkgs, err := l.Load("./internal/lint/testdata/src/" + pattern)
 	if err != nil {
-		t.Fatalf("Load(%s): %v", name, err)
+		t.Fatalf("Load(%s): %v", pattern, err)
 	}
 	return pkgs
+}
+
+// goldenFixture is one fixture and the analyzer it exercises; the
+// subtest and the golden file take its name.
+type goldenFixture struct {
+	name    string
+	pattern string // package pattern under testdata/src
+	a       Analyzer
+}
+
+// goldenFixtures gives every analyzer a fixture named after it, and two
+// analyzers a second one: hotalloc2 holds the interprocedural cases of
+// hotalloc (cross-package reachability, the cold boundary, every
+// allocation idiom) beside hotalloc's queue idioms, and wallclock is
+// detrand's cycle-driven sub-package, where any reference to package
+// time is a finding.
+var goldenFixtures = []goldenFixture{
+	{"cyclewidth", "cyclewidth", CycleWidth{}},
+	{"detrand", "detrand", DetRand{}},
+	{"wallclock", "detrand/faults", DetRand{}},
+	{"dettaint", "dettaint/...", DetTaint{}},
+	{"hotalloc", "hotalloc", HotAlloc{}},
+	{"hotalloc2", "hotalloc2/...", HotAlloc{}},
+	{"maporder", "maporder", MapOrder{}},
+	{"panicstyle", "panicstyle", PanicStyle{}},
+	{"phasesafe", "phasesafe", PhaseSafe{}},
 }
 
 // render joins findings into golden-file form.
@@ -56,19 +82,26 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenPerAnalyzer runs each analyzer over its fixture package and
-// compares against the golden transcript. Suppressed instances inside
+// TestGoldenPerAnalyzer runs each analyzer over its fixtures and
+// compares against the golden transcripts. Suppressed instances inside
 // the fixtures must not appear.
 func TestGoldenPerAnalyzer(t *testing.T) {
-	for _, a := range All() {
-		a := a
-		t.Run(a.Name(), func(t *testing.T) {
-			got := render(Run(fixture(t, a.Name()), []Analyzer{a}))
+	covered := map[string]bool{}
+	for _, fx := range goldenFixtures {
+		fx := fx
+		covered[fx.a.Name()] = true
+		t.Run(fx.name, func(t *testing.T) {
+			got := render(Run(fixture(t, fx.pattern), []Analyzer{fx.a}))
 			if got == "" {
-				t.Fatalf("%s fixture produced no findings", a.Name())
+				t.Fatalf("%s fixture produced no findings", fx.name)
 			}
-			checkGolden(t, a.Name(), got)
+			checkGolden(t, fx.name, got)
 		})
+	}
+	for _, a := range All() {
+		if !covered[a.Name()] {
+			t.Errorf("analyzer %s has no golden fixture", a.Name())
+		}
 	}
 }
 
@@ -76,24 +109,29 @@ func TestGoldenPerAnalyzer(t *testing.T) {
 // hides the fixtures' suppressed cases: the raw analyzer sees more
 // findings than the filtered Run.
 func TestSuppressionFiltering(t *testing.T) {
-	for _, a := range All() {
-		a := a
-		t.Run(a.Name(), func(t *testing.T) {
-			pkgs := fixture(t, a.Name())
-			raw := 0
-			if pa, ok := a.(ProgramAnalyzer); ok {
-				raw = len(pa.RunProgram(BuildProgram(pkgs)))
-			} else {
-				for _, p := range pkgs {
-					raw += len(a.Run(p))
-				}
-			}
-			filtered := len(Run(pkgs, []Analyzer{a}))
+	for _, fx := range goldenFixtures {
+		fx := fx
+		t.Run(fx.name, func(t *testing.T) {
+			pkgs := fixture(t, fx.pattern)
+			raw := len(rawFindings(fx.a, pkgs))
+			filtered := len(Run(pkgs, []Analyzer{fx.a}))
 			if raw != filtered+1 {
 				t.Errorf("raw=%d filtered=%d; each fixture carries exactly one suppressed case", raw, filtered)
 			}
 		})
 	}
+}
+
+// rawFindings runs a without the suppression filter.
+func rawFindings(a Analyzer, pkgs []*Package) []Finding {
+	if pa, ok := a.(ProgramAnalyzer); ok {
+		return pa.RunProgram(BuildProgram(pkgs))
+	}
+	var fs []Finding
+	for _, p := range pkgs {
+		fs = append(fs, a.Run(p)...)
+	}
+	return fs
 }
 
 // TestSuppressionPlacement checks both sanctioned comment positions.
@@ -129,15 +167,32 @@ func TestDetRandScopedToInternal(t *testing.T) {
 	}
 }
 
-// TestHotAllocScopedToHotPath: the rule only bites in the hot-path
-// packages; measurement, baselines and cmd code may allocate at will.
-func TestHotAllocScopedToHotPath(t *testing.T) {
-	for _, path := range []string{"repro/internal/fastpass", "repro/internal/sim", "repro/cmd/nocsim"} {
-		p := &Package{Path: path}
-		if fs := (HotAlloc{}).Run(p); fs != nil {
-			t.Errorf("hotalloc ran on %s: %v", path, fs)
+// TestDetRandOneFindingPerConstruct: in a cycle-driven package a clock
+// read is both a host-clock call and a reference to package time, and
+// detrand reports it once, not once per rule. Lines 13 (time.Until) and
+// 26 (time.Now) of the faults fixture hold one time reference each;
+// line 26 is suppressed, so the count is taken before filtering.
+func TestDetRandOneFindingPerConstruct(t *testing.T) {
+	perLine := map[int]int{}
+	for _, f := range rawFindings(DetRand{}, fixture(t, "detrand/faults")) {
+		perLine[f.Pos.Line]++
+	}
+	for _, line := range []int{13, 26} {
+		if perLine[line] != 1 {
+			t.Errorf("faults.go:%d: %d findings, want 1", line, perLine[line])
 		}
 	}
+}
+
+// TestUnknownSuppressionRule: a //nocvet:ignore naming no analyzer
+// fails the run (exit 1) instead of silently suppressing nothing, while
+// the known rule of the same directive still suppresses.
+func TestUnknownSuppressionRule(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := Main([]string{"./internal/lint/testdata/src/ignore"}, ".", &out, &errb); code != ExitFindings {
+		t.Errorf("code=%d, want %d (stderr: %s)", code, ExitFindings, errb.String())
+	}
+	checkGolden(t, "ignore", out.String())
 }
 
 // TestDriverExitCodes exercises cmd/nocvet's in-process entry point.

@@ -1,5 +1,5 @@
 // Package hotalloc is a nocvet fixture: per-cycle allocation hygiene
-// for hot-path packages.
+// of a queue whose Tick is a //nocvet:hot root.
 package hotalloc
 
 // Packet stands in for the real message.Packet.
@@ -11,7 +11,7 @@ type Queue struct {
 	scratch []int
 }
 
-// NewQueue may allocate: construction runs once, not per cycle.
+// NewQueue may allocate: no hot root reaches construction.
 func NewQueue(capHint int) *Queue {
 	return &Queue{pkts: make([]*Packet, 0, capHint)}
 }
@@ -55,4 +55,16 @@ func (q *Queue) GoodVariadicJoin(dst, src []*Packet) []*Packet {
 // not once per cycle.
 func (q *Queue) Suppressed(n int) []bool {
 	return make([]bool, n) //nocvet:ignore hotalloc drain epilogue, runs once per quiescence check
+}
+
+// Tick is the queue's per-cycle work.
+//
+//nocvet:hot
+func (q *Queue) Tick(n int) {
+	q.BadPrepend(nil)
+	q.BadPerCycleMake(n)
+	q.GoodReuse(n)
+	q.GoodTailAppend(nil)
+	q.GoodVariadicJoin(q.pkts, q.pkts)
+	q.Suppressed(n)
 }

@@ -1,5 +1,5 @@
 // Package deep hides an allocation one package away from the hot root:
-// hotalloc2 must follow the call edge across the boundary.
+// hotalloc must follow the call edge across the boundary.
 package deep
 
 // Grow allocates on every call.

@@ -36,7 +36,7 @@ func (e *engine) step(n int) {
 
 // warm carries the fixture's one suppressed case.
 func warm() {
-	//nocvet:ignore hotalloc2 construction-time warm-up, runs once, not per cycle
+	//nocvet:ignore hotalloc construction-time warm-up, runs once, not per cycle
 	_ = make([]byte, 1)
 }
 

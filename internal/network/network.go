@@ -372,7 +372,7 @@ func (n *Network) LinkBusy(linkID int) bool {
 // sorted walk, and a cross-shard wake lands ahead of or behind the
 // walk exactly as a full scan would have it.
 func (n *Network) ActiveRouters() iter.Seq[*router.Router] {
-	//nocvet:ignore hotalloc2 iterator literal is ranged immediately by every caller and never escapes; the alloc-guard test pins 0 allocs/cycle
+	//nocvet:ignore hotalloc iterator literal is ranged immediately by every caller and never escapes; the alloc-guard test pins 0 allocs/cycle
 	return func(yield func(*router.Router) bool) {
 		for _, sh := range n.shards {
 			s := &sh.activeRouters

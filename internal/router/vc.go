@@ -113,7 +113,7 @@ func (v *VC) alloc(pkt *message.Packet, arrived int, cycle int64) *Entry {
 		v.freeEntries = v.freeEntries[:n-1]
 		*e = Entry{}
 	} else {
-		e = &Entry{} //nocvet:ignore hotalloc2 free-list warm-up: allocates only until the pool reaches working-set size, then recycles
+		e = &Entry{} //nocvet:ignore hotalloc free-list warm-up: allocates only until the pool reaches working-set size, then recycles
 	}
 	e.Pkt = pkt
 	e.Arrived = arrived

@@ -52,7 +52,7 @@ func (k Kind) String() string {
 	case RecoveryAction:
 		return "recovery"
 	default:
-		return fmt.Sprintf("kind(%d)", uint8(k)) //nocvet:ignore hotalloc2 unreachable for defined kinds; diagnostic fallback only
+		return fmt.Sprintf("kind(%d)", uint8(k)) //nocvet:ignore hotalloc unreachable for defined kinds; diagnostic fallback only
 	}
 }
 
